@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** Graph substrate for the paper's opinion-diffusion algorithms.
   *
@@ -62,18 +64,18 @@ object GraphOps {
     * [[normalize]] are harmless (they only re-reach the same node).
     */
   def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame = {
-    var reach = spark.range(n).select(col("id").as("root"), col("id").as("node"))
-    var frontier = reach
-    for (_ <- 1 to t) {
-      val stepped = frontier.join(edges, frontier("node") === edges("src"))
-        .select(col("root"), col("dst").as("node"))
-        .distinct()
-      frontier = stepped.join(reach, Seq("root", "node"), "left_anti")
-        .localCheckpoint(true)
-      if (frontier.isEmpty) return reach
-      reach = reach.unionByName(frontier).localCheckpoint(true)
+    require(t >= 0, s"time horizon must be non-negative, got $t")
+    // One BFS per root over the out-neighbour CSR, inside the root's task.
+    val g = Csr.broadcast(edges, n)
+    val sc = spark.sparkContext
+    val rows = sc.range(0L, n, 1L, sc.defaultParallelism).mapPartitions { roots =>
+      val csr = g.value
+      val seen = Array.fill(csr.n)(-1)
+      roots.flatMap(root => csr.reach(root.toInt, t, seen).iterator.map(v => Row(root, v.toLong)))
     }
-    reach
+    spark.createDataFrame(rows, StructType(Seq(
+      StructField("root", LongType, nullable = false),
+      StructField("node", LongType, nullable = false))))
   }
 
   /** Weighted out-degree per node: rows `(node, outdeg)`; nodes with no
@@ -85,5 +87,80 @@ object GraphOps {
       .groupBy(col("src").as("node")).agg(sum("w").as("outdeg"))
     spark.range(n).toDF("node").join(deg, Seq("node"), "left")
       .select(col("node"), coalesce(col("outdeg"), lit(0.0)).as("outdeg"))
+  }
+}
+
+/** Compressed sparse rows of an edge list over nodes `0 until n`, in both
+  * directions: in-edges of `v` are `inOff(v) until inOff(v + 1)` (sources
+  * `inSrc`, weights `inW`), out-edges of `u` are `outOff(u) until
+  * outOff(u + 1)` (destinations `outDst`). Each segment is sorted by the
+  * other endpoint, so any sum over a segment runs in a fixed order whatever
+  * the partitioning of the DataFrame it was collected from.
+  */
+final class Csr(val n: Int, val inOff: Array[Int], val inSrc: Array[Int], val inW: Array[Double],
+                val outOff: Array[Int], val outDst: Array[Int]) extends Serializable {
+
+  /** Nodes within at most `t` outgoing hops of `root`, `root` first, in BFS
+    * order. `seen` is scratch space of length `n`, reusable across roots as
+    * long as no two calls share a root value.
+    */
+  def reach(root: Int, t: Int, seen: Array[Int]): Array[Int] = {
+    val out = scala.collection.mutable.ArrayBuffer(root)
+    seen(root) = root
+    var lo = 0
+    var hop = 0
+    while (hop < t && lo < out.size) {
+      val hi = out.size
+      for (i <- lo until hi; e <- outOff(out(i)) until outOff(out(i) + 1)) {
+        val v = outDst(e)
+        if (seen(v) != root) { seen(v) = root; out += v }
+      }
+      lo = hi
+      hop += 1
+    }
+    out.toArray
+  }
+}
+
+object Csr {
+
+  /** Collect `(src, dst, w)` to the driver (one job) and index it. The node
+    * count is `n`, or one past the largest id in `edges` if that is larger.
+    */
+  def collect(edges: DataFrame, n: Long): Csr = {
+    val es = edges.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
+      .collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
+    val size = es.foldLeft(n) { case (m, (s, d, _)) => math.max(m, math.max(s, d) + 1) }
+    require(size <= Int.MaxValue, s"$size nodes do not fit an array index")
+    require(es.forall(e => e._1 >= 0 && e._2 >= 0), "node ids must be non-negative")
+    // Sort by (src, dst, w): the out-CSR order; a stable pass by dst then
+    // gives every in-segment in (src, w) order.
+    val bySrc = es.map(e => (e._1.toInt, e._2.toInt, e._3))
+      .sorted(Ordering.Tuple3(Ordering.Int, Ordering.Int, Ordering.Double.TotalOrdering))
+    val nn = size.toInt
+    val outOff = offsets(nn, bySrc.map(_._1))
+    val inOff = offsets(nn, bySrc.map(_._2))
+    val next = inOff.clone()
+    val inSrc = new Array[Int](bySrc.length)
+    val inW = new Array[Double](bySrc.length)
+    for ((s, d, w) <- bySrc) {
+      inSrc(next(d)) = s
+      inW(next(d)) = w
+      next(d) += 1
+    }
+    new Csr(nn, inOff, inSrc, inW, outOff, bySrc.map(_._2))
+  }
+
+  /** [[collect]], shipped to the executors as one broadcast. */
+  def broadcast(edges: DataFrame, n: Long): Broadcast[Csr] =
+    edges.sparkSession.sparkContext.broadcast(collect(edges, n))
+
+  /** Segment offsets (length `n + 1`) of the node ids in `keys`. */
+  private def offsets(n: Int, keys: Array[Int]): Array[Int] = {
+    val off = new Array[Int](n + 1)
+    keys.foreach(k => off(k + 1) += 1)
+    for (v <- 0 until n) off(v + 1) += off(v)
+    off
   }
 }

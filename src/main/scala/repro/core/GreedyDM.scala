@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** Greedy seed selection with exact opinion computation ("DM" in the paper;
@@ -18,12 +18,11 @@ object GreedyDM {
 
   /** Evaluate `F(S ∪ {w})` for every scenario `w` in `cands`. */
   private def scenarioScores(inst: Instance, score: VoteScore, seeds: Seq[Long],
-                             cands: Seq[Long], compOps: org.apache.spark.sql.DataFrame): Map[Long, Double] = {
+                             cands: Seq[Long], compOps: DataFrame): Map[Long, Double] = {
     val spark = inst.edges.sparkSession
     import spark.implicits._
-    val scenDf = cands.toDF("scen")
     val targetOps = OpinionDiffusion.diffuseScenarios(
-      inst.edges, inst.targetProfile(seeds), scenDf, inst.t)
+      inst.graph, inst.targetBase.seeded(seeds), cands.toDF("scen"), inst.t)
     score.byScenario(targetOps, compOps)
       .collect()
       .map(row => row.getLong(0) -> row.getDouble(1))
@@ -41,13 +40,13 @@ object GreedyDM {
   def select(inst: Instance, score: VoteScore, k: Int,
              celf: Boolean = false, celfBatch: Int = 64): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    val compOps = inst.competitorOpinions().localCheckpoint(true)
+    val compOps = inst.competitorOpinions()
     if (celf) selectCelf(inst, score, k, celfBatch, compOps)
     else selectPlain(inst, score, k, compOps)
   }
 
   private def selectPlain(inst: Instance, score: VoteScore, k: Int,
-                          compOps: org.apache.spark.sql.DataFrame): Result = {
+                          compOps: DataFrame): Result = {
     var seeds = Vector.empty[Long]
     var scores = Vector.empty[Double]
     for (_ <- 1 to k) {
@@ -67,7 +66,7 @@ object GreedyDM {
   private final case class Entry(gain: Double, node: Long, round: Int)
 
   private def selectCelf(inst: Instance, score: VoteScore, k: Int, batch: Int,
-                         compOps: org.apache.spark.sql.DataFrame): Result = {
+                         compOps: DataFrame): Result = {
     val base0 = inst.targetScore(score, Nil)
     val init = scenarioScores(inst, score, Nil, 0L until inst.n, compOps)
     // Max-heap on (possibly stale) marginal-gain bounds; ties to smaller id.

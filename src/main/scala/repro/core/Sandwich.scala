@@ -30,7 +30,7 @@ object Sandwich {
     * top `p` at the horizon with no seeds. Single-column `(node)`.
     */
   def favorableUsers(inst: Instance, p: Int): DataFrame = {
-    val ops = inst.opinions(Nil)
+    val ops = inst.seedlessOpinions
     val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
     val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
     tgt.join(comp, Seq("node"))
@@ -44,7 +44,7 @@ object Sandwich {
     * at least one other candidate at the horizon with no seeds.
     */
   def weaklyFavorableUsers(inst: Instance): DataFrame = {
-    val ops = inst.opinions(Nil)
+    val ops = inst.seedlessOpinions
     val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
     val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
     tgt.join(comp, Seq("node"))
@@ -56,30 +56,31 @@ object Sandwich {
 
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — submodular coverage,
     * so greedy is (1-1/e)-approximate. Returns the seeds and the exact UB
-    * value of the returned set.
+    * value of the returned set. Each round is one job: every root's gain is
+    * a t-hop BFS over the instance's graph against the covered set.
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
-    val spark = inst.edges.sparkSession
-    val reach = GraphOps.reachWithin(spark, inst.edges, inst.n, inst.t).localCheckpoint(true)
-    var covered = fixed.select("node").distinct().localCheckpoint(true)
+    val sc = inst.edges.sparkSession.sparkContext
+    val g = inst.graph
+    val t = inst.t
+    val covered = new Array[Boolean](g.value.n)
+    fixed.select("node").collect().foreach(r => covered(r.getLong(0).toInt) = true)
     var seeds = Vector.empty[Long]
     for (_ <- 1 to k) {
-      val candidates =
-        if (seeds.isEmpty) reach else reach.filter(!col("root").isInCollection(seeds))
-      val gains = candidates
-        .join(covered, Seq("node"), "left_anti")
-        .groupBy("root").agg(count(lit(1)).as("g"))
-        .orderBy(col("g").desc, col("root"))
-        .limit(1).collect()
-      val pick =
-        if (gains.nonEmpty) gains.head.getLong(0)
-        else (0L until inst.n).filterNot(seeds.contains).head // everything covered
+      val taken = seeds.toSet
+      // Best (gain, root) per partition; ties to the smaller root, and a
+      // zero best gain falls back to the smallest unused node.
+      val best = sc.range(0L, inst.n, 1L, sc.defaultParallelism).mapPartitions { roots =>
+        val csr = g.value
+        val seen = Array.fill(csr.n)(-1)
+        roots.filterNot(taken).map(root => (csr.reach(root.toInt, t, seen).count(v => !covered(v)), root))
+          .minByOption { case (gain, root) => (-gain, root) }.iterator
+      }.collect()
+      val pick = best.minBy { case (gain, root) => (-gain, root) }._2
       seeds :+= pick
-      covered = covered
-        .unionByName(reach.filter(col("root") === pick).select("node"))
-        .distinct().localCheckpoint(true)
+      g.value.reach(pick.toInt, t, Array.fill(g.value.n)(-1)).foreach(covered(_) = true)
     }
-    (seeds, covered.count() * factor)
+    (seeds, covered.count(identity) * factor)
   }
 
   /** Algorithm 3 for a plurality-variant score. */

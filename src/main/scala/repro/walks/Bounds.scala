@@ -43,7 +43,7 @@ object Bounds {
     */
   def lambdaPerNode(inst: Instance, rho: Double,
                     gammaFloor: Double = 0.05, lambdaCap: Int = 2000): DataFrame = {
-    val ops = inst.opinions(Nil)
+    val ops = inst.seedlessOpinions
     val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
     val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
     val c = math.log(2.0 / (1.0 - rho)) / 2.0

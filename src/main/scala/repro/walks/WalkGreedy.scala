@@ -93,7 +93,7 @@ object WalkGreedy {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
     val compOps = score match {
       case Cumulative => null // cumulative never consults competitors
-      case _          => inst.competitorOpinions().localCheckpoint(true)
+      case _          => inst.competitorOpinions()
     }
     var state = annotatedWalks
     var seeds = Vector.empty[Long]

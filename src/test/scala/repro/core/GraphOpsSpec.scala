@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SynthSocial}
 
 class GraphOpsSpec extends SparkSpec {
   import spark.implicits._
@@ -13,6 +14,25 @@ class GraphOpsSpec extends SparkSpec {
   ).toDF("src", "dst", "w")
 
   private lazy val edges = GraphOps.normalize(spark, raw, 5).localCheckpoint(true)
+
+  /** Reference t-hop reach: one frontier join + anti-join per hop, the
+    * DataFrame form that the per-root CSR BFS replaced.
+    */
+  private def referenceReach(edges: DataFrame, n: Long, t: Int): DataFrame = {
+    var reach = spark.range(n).select(col("id").as("root"), col("id").as("node"))
+    var frontier = reach
+    for (_ <- 1 to t) {
+      val stepped = frontier.join(edges, frontier("node") === edges("src"))
+        .select(col("root"), col("dst").as("node"))
+        .distinct()
+      frontier = stepped.join(reach, Seq("root", "node"), "left_anti").localCheckpoint(true)
+      reach = reach.unionByName(frontier).localCheckpoint(true)
+    }
+    reach
+  }
+
+  private def pairs(df: DataFrame): Set[(Long, Long)] =
+    df.select("root", "node").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
   test("normalize yields a column-stochastic matrix") {
     assert(GraphOps.isColumnStochastic(edges, 5))
@@ -93,6 +113,17 @@ class GraphOpsSpec extends SparkSpec {
     val r10 = GraphOps.reachWithin(spark, edges, 5, 10).count()
     val r4 = GraphOps.reachWithin(spark, edges, 5, 4).count()
     assert(r10 == r4)
+  }
+
+  test("reachWithin matches the iterative-join reference on a synthetic graph") {
+    val n = 80L
+    val g = GraphOps.normalize(spark, SynthSocial.rawEdges(spark, n, 240, seed = 41), n)
+      .localCheckpoint(true)
+    for (t <- Seq(1, 2, 4)) {
+      val got = GraphOps.reachWithin(spark, g, n, t)
+      assert(got.count() == pairs(got).size, s"t=$t: duplicate (root, node) rows")
+      assert(pairs(got) == pairs(referenceReach(g, n, t)), s"t=$t")
+    }
   }
 
   test("weightedOutDegree excludes self-loops and defaults to 0") {

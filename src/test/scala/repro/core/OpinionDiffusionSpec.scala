@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SynthSocial}
 import repro.expts.RunningExample
 
 class OpinionDiffusionSpec extends SparkSpec {
@@ -9,8 +10,39 @@ class OpinionDiffusionSpec extends SparkSpec {
 
   private lazy val inst = RunningExample.instance(spark)
 
-  private def opinionMap(ops: org.apache.spark.sql.DataFrame, cand: Int): Map[Long, Double] =
+  private def opinionMap(ops: DataFrame, cand: Int): Map[Long, Double] =
     ops.filter(col("cand") === cand).collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
+
+  /** `(node, cand) -> b` of a diffusion result. */
+  private def allOpinions(ops: DataFrame): Map[(Long, Int), Double] =
+    ops.select("node", "cand", "b").collect().map(r => (r.getLong(0), r.getInt(1)) -> r.getDouble(2)).toMap
+
+  /** `(scen, node) -> b` of a scenario diffusion result. */
+  private def scenarioOpinions(ops: DataFrame): Map[(Long, Long), Double] =
+    ops.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+
+  /** Reference FJ diffusion: one edge join + groupBy per timestep, the
+    * DataFrame form of Eq 2 that the CSR kernel replaced. Kept here only
+    * to pin the kernel's semantics, including its inner joins: a node
+    * drops out when it has no profile row or no in-neighbour left.
+    */
+  private def referenceDiffuse(edges: DataFrame, profile: DataFrame, t: Int): DataFrame = {
+    var b = profile.select(col("node"), col("cand"), col("b0").as("b"))
+    for (_ <- 1 to t) {
+      val wsum = b.join(edges, b("node") === edges("src"))
+        .groupBy(edges("dst").as("node"), col("cand"))
+        .agg(sum(col("b") * col("w")).as("wsum"))
+      b = profile.join(wsum, Seq("node", "cand"))
+        .select(col("node"), col("cand"),
+          ((lit(1.0) - col("d")) * col("wsum") + col("d") * col("b0")).as("b"))
+        .localCheckpoint(true)
+    }
+    b
+  }
+
+  private lazy val synthEdges = GraphOps.normalize(spark,
+    SynthSocial.rawEdges(spark, 60, 240, seed = 31), 60).localCheckpoint(true)
+  private lazy val synthProfile = SynthSocial.profile(spark, 60, 3, seed = 37).localCheckpoint(true)
 
   test("t=0 returns the initial opinions") {
     val got = opinionMap(OpinionDiffusion.diffuse(inst.edges, inst.profile, 0), 0)
@@ -124,5 +156,35 @@ class OpinionDiffusionSpec extends SparkSpec {
       "edges" -> inst.edges,
       "prof" -> prof,
     )
+  }
+
+  test("kernel matches the join+groupBy reference on a synthetic graph") {
+    // Every fifth (node, cand) row removed: those nodes drop out for that
+    // candidate, and so do their out-neighbours once no in-neighbour is left.
+    val holey = synthProfile.filter((col("node") * 3 + col("cand")) % 5 =!= 0).localCheckpoint(true)
+    for (prof <- Seq(synthProfile, holey); t <- Seq(0, 1, 3, 8)) {
+      val got = allOpinions(OpinionDiffusion.diffuse(synthEdges, prof, t))
+      val want = allOpinions(referenceDiffuse(synthEdges, prof, t))
+      assert(got.keySet == want.keySet, s"t=$t: alive (node, cand) pairs differ")
+      want.foreach { case (k, b) => assert(math.abs(got(k) - b) <= 1e-12, s"t=$t $k: ${got(k)} vs $b") }
+    }
+  }
+
+  test("scenario diffusion rejects a negative horizon") {
+    intercept[IllegalArgumentException] {
+      OpinionDiffusion.diffuseScenarios(inst.edges, inst.targetProfile(Nil), Seq(0L).toDF("scen"), -1)
+    }
+  }
+
+  test("results are bit-identical under 1 and 7 input partitions") {
+    def diffuseOn(parts: Int) = allOpinions(OpinionDiffusion.diffuse(
+      synthEdges.repartition(parts), synthProfile.repartition(parts), 3))
+    assert(diffuseOn(1) == diffuseOn(7))
+
+    val target = synthProfile.filter(col("cand") === 0).select("node", "b0", "d")
+    val scen = (0L until 60L).toDF("scen")
+    def scenariosOn(parts: Int) = scenarioOpinions(OpinionDiffusion.diffuseScenarios(
+      synthEdges.repartition(parts), target.repartition(parts), scen.repartition(parts), 3))
+    assert(scenariosOn(1) == scenariosOn(7))
   }
 }
