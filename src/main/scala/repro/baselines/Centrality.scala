@@ -15,10 +15,12 @@ import repro.core.{GraphOps, Instance}
 object Centrality {
 
   /** Top-k nodes by weighted out-degree. */
-  def degree(inst: Instance, k: Int): Seq[Long] =
+  def degree(inst: Instance, k: Int): Seq[Long] = {
+    inst.requireBudget(k)
     GraphOps.weightedOutDegree(inst.edges.sparkSession, inst.edges, inst.n)
       .orderBy(col("outdeg").desc, col("node"))
       .limit(k).collect().map(_.getLong(0)).toSeq
+  }
 
   /** Out-normalized transition edges `(src, dst, p)`; dangling nodes keep
     * no out-probability (their mass is redistributed uniformly below).
@@ -30,48 +32,44 @@ object Centrality {
       .select(col("src"), col("dst"), (col("w") / col("osum")).as("p"))
   }
 
-  private def powerIterate(spark: SparkSession, trans: DataFrame, restart: DataFrame,
-                           n: Long, c: Double, iters: Int): DataFrame = {
-    var pr = restart
+  /** Top-k nodes by the power iteration of a surfer that follows `trans`
+    * with probability `c` and jumps to `restart` `(node, pr)` otherwise.
+    */
+  private def topK(inst: Instance, k: Int, c: Double, iters: Int)(restart: => DataFrame): Seq[Long] = {
+    inst.requireBudget(k)
+    val trans = outNormalized(inst.edges.sparkSession, inst.edges).localCheckpoint(true)
+    val rst = restart
+    var pr = rst
     for (_ <- 1 to iters) {
       val inflow = pr.join(trans, pr("node") === trans("src"))
         .groupBy(trans("dst").as("node")).agg(sum(col("pr") * col("p")).as("inflow"))
       val massRow = pr.join(trans.select("src").distinct(),
-        pr("node") === col("src"), "left_anti").agg(sum("pr")).head
+        pr("node") === col("src"), "left_anti").agg(sum("pr")).head()
       val mass = if (massRow.isNullAt(0)) 0.0 else massRow.getDouble(0)
-      pr = restart.select(col("node"), col("pr").as("rst"))
+      pr = rst.select(col("node"), col("pr").as("rst"))
         .join(inflow, Seq("node"), "left")
         .select(col("node"),
           ((lit(1.0) - c) * col("rst")
-            + lit(c) * (coalesce(col("inflow"), lit(0.0)) + lit(mass / n))).as("pr"))
+            + lit(c) * (coalesce(col("inflow"), lit(0.0)) + lit(mass / inst.n))).as("pr"))
         .localCheckpoint(true)
     }
-    pr
+    pr.orderBy(col("pr").desc, col("node")).limit(k).collect().map(_.getLong(0)).toSeq
   }
 
   /** Top-k nodes by PageRank (uniform restart). */
-  def pageRank(inst: Instance, k: Int, c: Double = 0.85, iters: Int = 20): Seq[Long] = {
-    val spark = inst.edges.sparkSession
-    val trans = outNormalized(spark, inst.edges).localCheckpoint(true)
-    val restart = spark.range(inst.n)
-      .select(col("id").as("node"), lit(1.0 / inst.n).as("pr"))
-    powerIterate(spark, trans, restart, inst.n, c, iters)
-      .orderBy(col("pr").desc, col("node")).limit(k)
-      .collect().map(_.getLong(0)).toSeq
-  }
+  def pageRank(inst: Instance, k: Int, c: Double = 0.85, iters: Int = 20): Seq[Long] =
+    topK(inst, k, c, iters) {
+      inst.edges.sparkSession.range(inst.n).select(col("id").as("node"), lit(1.0 / inst.n).as("pr"))
+    }
 
   /** Top-k nodes by RWR: restart distribution proportional to the target
     * candidate's initial opinions (mass lands where the campaign already
     * resonates, as in [25]'s RWR baseline).
     */
-  def rwr(inst: Instance, k: Int, c: Double = 0.85, iters: Int = 20): Seq[Long] = {
-    val spark = inst.edges.sparkSession
-    val trans = outNormalized(spark, inst.edges).localCheckpoint(true)
-    val b0 = inst.profile.filter(col("cand") === inst.q).select(col("node"), col("b0"))
-    val tot = math.max(b0.agg(sum("b0")).head.getDouble(0), 1e-12)
-    val restart = b0.select(col("node"), (col("b0") / tot).as("pr"))
-    powerIterate(spark, trans, restart, inst.n, c, iters)
-      .orderBy(col("pr").desc, col("node")).limit(k)
-      .collect().map(_.getLong(0)).toSeq
-  }
+  def rwr(inst: Instance, k: Int, c: Double = 0.85, iters: Int = 20): Seq[Long] =
+    topK(inst, k, c, iters) {
+      val b0 = inst.profile.filter(col("cand") === inst.q).select(col("node"), col("b0"))
+      val tot = math.max(b0.agg(sum("b0")).head().getDouble(0), 1e-12)
+      b0.select(col("node"), (col("b0") / tot).as("pr"))
+    }
 }

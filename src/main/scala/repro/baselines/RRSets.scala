@@ -86,6 +86,7 @@ object RRSets {
   /** End-to-end baseline: sample θ RR sets under `model` and pick k seeds. */
   def select(inst: Instance, model: String, k: Int, theta: Long,
              seed: Long = 47): Seq[Long] = {
+    inst.requireBudget(k)
     val spark = inst.edges.sparkSession
     val roots = sampleRoots(spark, inst.n, theta, seed)
     val rr = model match {

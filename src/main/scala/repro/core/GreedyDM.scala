@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** Greedy seed selection with exact opinion computation ("DM" in the paper;
@@ -8,8 +7,10 @@ import scala.collection.mutable
   * submodular cumulative score (§III-C).
   *
   * Marginal gains for one greedy round are evaluated with a single
-  * scenario-vectorized diffusion ([[OpinionDiffusion.diffuseScenarios]])
-  * instead of one diffusion per candidate seed.
+  * scenario-vectorized diffusion ([[OpinionDiffusion.scenarioOpinions]])
+  * instead of one diffusion per candidate seed; each scenario is scored in
+  * its own task against the broadcast competitor opinions, so a round is
+  * one job.
   */
 object GreedyDM {
 
@@ -18,14 +19,13 @@ object GreedyDM {
 
   /** Evaluate `F(S ∪ {w})` for every scenario `w` in `cands`. */
   private def scenarioScores(inst: Instance, score: VoteScore, seeds: Seq[Long],
-                             cands: Seq[Long], compOps: DataFrame): Map[Long, Double] = {
-    val spark = inst.edges.sparkSession
-    import spark.implicits._
-    val targetOps = OpinionDiffusion.diffuseScenarios(
-      inst.graph, inst.targetBase.seeded(seeds), cands.toDF("scen"), inst.t)
-    score.byScenario(targetOps, compOps)
+                             cands: Seq[Long]): Map[Long, Double] = {
+    val sc = inst.edges.sparkSession.sparkContext
+    val comp = inst.competitors
+    OpinionDiffusion.scenarioOpinions(inst.graph, inst.targetBase.seeded(seeds),
+      sc.parallelize(cands, sc.defaultParallelism), inst.t)
+      .map { case (w, o) => w -> score.of(o, comp.value) }
       .collect()
-      .map(row => row.getLong(0) -> row.getDouble(1))
       .toMap
   }
 
@@ -39,19 +39,17 @@ object GreedyDM {
     */
   def select(inst: Instance, score: VoteScore, k: Int,
              celf: Boolean = false, celfBatch: Int = 64): Result = {
-    require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    val compOps = inst.competitorOpinions()
-    if (celf) selectCelf(inst, score, k, celfBatch, compOps)
-    else selectPlain(inst, score, k, compOps)
+    inst.requireBudget(k)
+    if (celf) selectCelf(inst, score, k, celfBatch)
+    else selectPlain(inst, score, k)
   }
 
-  private def selectPlain(inst: Instance, score: VoteScore, k: Int,
-                          compOps: DataFrame): Result = {
+  private def selectPlain(inst: Instance, score: VoteScore, k: Int): Result = {
     var seeds = Vector.empty[Long]
     var scores = Vector.empty[Double]
     for (_ <- 1 to k) {
       val cands = (0L until inst.n).filterNot(seeds.contains)
-      val sc = scenarioScores(inst, score, seeds, cands, compOps)
+      val sc = scenarioScores(inst, score, seeds, cands)
       // Ties break to the smallest node id for determinism.
       val (best, bestScore) = sc.toSeq.sortBy { case (w, s) => (-s, w) }.head
       seeds :+= best
@@ -65,10 +63,9 @@ object GreedyDM {
     */
   private final case class Entry(gain: Double, node: Long, round: Int)
 
-  private def selectCelf(inst: Instance, score: VoteScore, k: Int, batch: Int,
-                         compOps: DataFrame): Result = {
+  private def selectCelf(inst: Instance, score: VoteScore, k: Int, batch: Int): Result = {
     val base0 = inst.targetScore(score, Nil)
-    val init = scenarioScores(inst, score, Nil, 0L until inst.n, compOps)
+    val init = scenarioScores(inst, score, Nil, 0L until inst.n)
     // Max-heap on (possibly stale) marginal-gain bounds; ties to smaller id.
     val heap = mutable.PriorityQueue.empty[Entry](
       Ordering.by(e => (e.gain, -e.node)))
@@ -96,7 +93,7 @@ object GreedyDM {
           while (stale.size < batch && heap.nonEmpty && heap.head.round != round)
             stale += heap.dequeue()
           val ws = stale.map(_.node).toSeq
-          val sc = scenarioScores(inst, score, seeds, ws, compOps)
+          val sc = scenarioScores(inst, score, seeds, ws)
           ws.foreach(x => heap.enqueue(Entry(sc(x) - cur, x, round)))
         }
       }

@@ -3,9 +3,8 @@ package repro.core
 import org.apache.spark.HashPartitioner
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 
 /** One diffusion key's dense FJ inputs over nodes `0 until n`: initial
   * opinions, stubbornness, and which nodes have a profile row at all.
@@ -45,6 +44,47 @@ object KeyProfile {
       .collect().iterator.map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2))), n)
 }
 
+/** One key's horizon opinions over nodes `0 until n`: `b(v)` holds where
+  * `alive(v)`, i.e. where the key has an opinion row.
+  */
+final case class KeyOpinions(b: Array[Double], alive: Array[Boolean]) {
+
+  /** Whether node `v` has an opinion (false past the arrays' end). */
+  def has(v: Int): Boolean = v < alive.length && alive(v)
+
+  /** `(node, b)` of every alive node, in node order. */
+  def rows: Iterator[(Long, Double)] = b.indices.iterator.filter(alive).map(v => (v.toLong, b(v)))
+}
+
+object KeyOpinions {
+
+  def empty(n: Int): KeyOpinions = KeyOpinions(new Array[Double](n), new Array[Boolean](n))
+
+  /** Rows `(key, node, b)` as one [[KeyOpinions]] per key, over nodes `0`
+    * to the largest id.
+    */
+  def of[K](rows: Iterable[(K, Long, Double)]): Map[K, KeyOpinions] = {
+    val n = rows.map(_._2.toInt + 1).maxOption.getOrElse(0)
+    rows.groupBy(_._1).map { case (k, rs) =>
+      val o = empty(n)
+      for ((_, v, b) <- rs) { o.b(v.toInt) = b; o.alive(v.toInt) = true }
+      k -> o
+    }
+  }
+
+  /** Collect opinions `(node, cand, b)` (one job) by candidate. */
+  def collect(ops: DataFrame): Map[Int, KeyOpinions] =
+    of(ops.select(col("cand").cast("int"), col("node").cast("long"), col("b").cast("double"))
+      .collect().map(r => (r.getInt(0), r.getLong(1), r.getDouble(2))))
+
+  /** Opinions by candidate as rows `(node, cand, b)`: a local DataFrame. */
+  def toDF(spark: SparkSession, table: Map[Int, KeyOpinions]): DataFrame = {
+    import spark.implicits._
+    table.toSeq.sortBy(_._1).flatMap { case (c, o) => o.rows.map { case (v, b) => (v, c, b) } }
+      .toDF("node", "cand", "b")
+  }
+}
+
 /** Exact opinion diffusion under the Friedkin–Johnsen model (Eq 2 of the
   * paper); DeGroot (Eq 1) is the special case of all-zero stubbornness.
   *
@@ -78,7 +118,7 @@ object OpinionDiffusion {
     * in-neighbour alive at step `s` — the inner-join semantics of the
     * edge-list form of Eq 2. Returns the horizon opinions and alive mask.
     */
-  private def fj(g: Csr, p: KeyProfile, t: Int): (Array[Double], Array[Boolean]) = {
+  private[core] def fj(g: Csr, p: KeyProfile, t: Int): KeyOpinions = {
     var b = p.b0
     var alive = p.present
     for (_ <- 1 to t) {
@@ -101,45 +141,39 @@ object OpinionDiffusion {
       b = nb
       alive = na
     }
-    (b, alive)
+    KeyOpinions(b, alive)
   }
 
   /** Runs [[fj]] for every key, inside the task that yields the key with
-    * its profile, and emits `(key, node, b)` for every alive node.
+    * its profile.
     */
-  private def run[K](g: Broadcast[Csr], keyed: RDD[(K, KeyProfile)], t: Int): RDD[(K, Long, Double)] = {
+  private def run[K](g: Broadcast[Csr], keyed: RDD[(K, KeyProfile)], t: Int): RDD[(K, KeyOpinions)] = {
     require(t >= 0, s"time horizon must be non-negative, got $t")
-    keyed.flatMap { case (key, p) =>
-      val (b, alive) = fj(g.value, p, t)
-      b.indices.iterator.filter(alive).map(v => (key, v.toLong, b(v)))
-    }
+    keyed.map { case (k, p) => (k, fj(g.value, p, t)) }
   }
 
-  /** Exact opinions `(node, cand, b)` of every user about every candidate at
-    * horizon `t`, given normalized edges and profile `(node, cand, b0, d)`.
-    * Collects and broadcasts the graph; see the overload for a prepared one.
-    */
-  def diffuse(edges: DataFrame, profile: DataFrame, t: Int): DataFrame =
-    diffuse(Csr.broadcast(edges, 0), profile, t)
-
-  /** [[diffuse]] over a broadcast graph: one key per candidate, the profile
-    * rows grouped by `cand` with one shuffle.
-    */
-  def diffuse(g: Broadcast[Csr], profile: DataFrame, t: Int): DataFrame = {
-    val spark = profile.sparkSession
-    val keyed = profile
+  /** One key per candidate: the profile rows grouped by `cand` with one shuffle. */
+  private def byCand(g: Broadcast[Csr], profile: DataFrame): RDD[(Int, KeyProfile)] =
+    profile
       .select(col("node").cast("long"), col("cand").cast("int"),
         col("b0").cast("double"), col("d").cast("double"))
       .rdd
       .map(r => (r.getInt(1), (r.getLong(0), r.getDouble(2), r.getDouble(3))))
-      .groupByKey(new HashPartitioner(spark.sparkContext.defaultParallelism))
+      .groupByKey(new HashPartitioner(profile.sparkSession.sparkContext.defaultParallelism))
       .mapValues(rows => KeyProfile.of(rows.iterator, g.value.n))
-    val out = run(g, keyed, t).map { case (cand, v, b) => Row(v, cand, b) }
-    spark.createDataFrame(out, StructType(Seq(
-      StructField("node", LongType, nullable = false),
-      StructField("cand", IntegerType, nullable = false),
-      StructField("b", DoubleType, nullable = false))))
-  }
+
+  /** Exact opinions `(node, cand, b)` of every user about every candidate at
+    * horizon `t`, given normalized edges and profile `(node, cand, b0, d)`;
+    * see [[diffuseTable]].
+    */
+  def diffuse(edges: DataFrame, profile: DataFrame, t: Int): DataFrame =
+    KeyOpinions.toDF(profile.sparkSession, diffuseTable(Csr.broadcast(edges, 0), profile, t))
+
+  /** Every candidate's horizon opinions, one key per candidate, collected
+    * by candidate (one job).
+    */
+  def diffuseTable(g: Broadcast[Csr], profile: DataFrame, t: Int): Map[Int, KeyOpinions] =
+    run(g, byCand(g, profile), t).collect().toMap
 
   /** Scenario-vectorized diffusion for greedy marginal-gain evaluation:
     * each scenario is "add candidate seed `scen` on top of the already
@@ -153,22 +187,20 @@ object OpinionDiffusion {
   def diffuseScenarios(edges: DataFrame, targetProfile: DataFrame,
                        scenarios: DataFrame, t: Int): DataFrame = {
     val g = Csr.broadcast(edges, 0)
-    diffuseScenarios(g, KeyProfile.collect(targetProfile, g.value.n), scenarios, t)
+    val scen = scenarios.select(col("scen").cast("long")).rdd.map(_.getLong(0))
+    val spark = scenarios.sparkSession
+    import spark.implicits._
+    scenarioOpinions(g, KeyProfile.collect(targetProfile, g.value.n), scen, t)
+      .flatMap { case (s, o) => o.rows.map { case (v, b) => (s, v, b) } }
+      .toDF("scen", "node", "b")
   }
 
-  /** [[diffuseScenarios]] over a broadcast graph and a collected target
-    * profile: the scenario ids are mapped in place, with no shuffle.
+  /** Horizon opinions of every scenario, each "seed `scen` on top of
+    * `target`" and run as one key in the task that holds it, with no shuffle.
     */
-  def diffuseScenarios(g: Broadcast[Csr], target: KeyProfile,
-                       scenarios: DataFrame, t: Int): DataFrame = {
-    val spark = scenarios.sparkSession
-    val base = spark.sparkContext.broadcast(target)
-    val keyed = scenarios.select(col("scen").cast("long")).rdd
-      .map { r => val s = r.getLong(0); (s, base.value.seeded(Seq(s))) }
-    val out = run(g, keyed, t).map { case (s, v, b) => Row(s, v, b) }
-    spark.createDataFrame(out, StructType(Seq(
-      StructField("scen", LongType, nullable = false),
-      StructField("node", LongType, nullable = false),
-      StructField("b", DoubleType, nullable = false))))
+  def scenarioOpinions(g: Broadcast[Csr], target: KeyProfile,
+                       scenarios: RDD[Long], t: Int): RDD[(Long, KeyOpinions)] = {
+    val base = scenarios.sparkContext.broadcast(target)
+    run(g, scenarios.map(s => (s, base.value.seeded(Seq(s)))), t)
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Sandwich approximation (Algorithm 3, §IV) for the non-submodular scores.
   *
@@ -29,30 +28,13 @@ object Sandwich {
   /** Favorable users set `Vq` (Def 1): users ranking the target within the
     * top `p` at the horizon with no seeds. Single-column `(node)`.
     */
-  def favorableUsers(inst: Instance, p: Int): DataFrame = {
-    val ops = inst.seedlessOpinions
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
-    tgt.join(comp, Seq("node"))
-      .groupBy("node")
-      .agg((sum(when(col("bx") >= col("bq"), 1).otherwise(0)) + 1).as("beta"))
-      .filter(col("beta") <= p)
-      .select("node")
-  }
+  def favorableUsers(inst: Instance, p: Int): DataFrame =
+    inst.usersFavoring(PApproval(p, p), Nil)
 
   /** Weakly favorable users set `Uq` (Def 5): users preferring the target to
     * at least one other candidate at the horizon with no seeds.
     */
-  def weaklyFavorableUsers(inst: Instance): DataFrame = {
-    val ops = inst.seedlessOpinions
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
-    tgt.join(comp, Seq("node"))
-      .groupBy("node")
-      .agg(min("bx").as("minx"), first("bq").as("bq"))
-      .filter(col("bq") > col("minx"))
-      .select("node")
-  }
+  def weaklyFavorableUsers(inst: Instance): DataFrame = inst.usersFavoring(Copeland, Nil)
 
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — submodular coverage,
     * so greedy is (1-1/e)-approximate. Returns the seeds and the exact UB
@@ -60,6 +42,7 @@ object Sandwich {
     * a t-hop BFS over the instance's graph against the covered set.
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
+    inst.requireBudget(k)
     val sc = inst.edges.sparkSession.sparkContext
     val g = inst.graph
     val t = inst.t
@@ -85,7 +68,8 @@ object Sandwich {
 
   /** Algorithm 3 for a plurality-variant score. */
   def run(inst: Instance, score: PositionalPApproval, k: Int): Result = {
-    val vq = favorableUsers(inst, score.p).localCheckpoint(true)
+    inst.requireBudget(k)
+    val vq = favorableUsers(inst, score.p)
     val omega1 = score.weights.head
     val omegaP = score.weights(score.p - 1)
     val (sU, ubU) = coverageGreedy(inst, vq, k, omega1)
@@ -98,7 +82,8 @@ object Sandwich {
 
   /** Algorithm 3 for the Copeland score (upper bound only, §IV-C). */
   def runCopeland(inst: Instance, k: Int): Result = {
-    val uq = weaklyFavorableUsers(inst).localCheckpoint(true)
+    inst.requireBudget(k)
+    val uq = weaklyFavorableUsers(inst)
     val factor = (inst.r - 1).toDouble / (inst.n / 2 + 1).toDouble
     val (sU, ubU) = coverageGreedy(inst, uq, k, factor)
     val sF = GreedyDM.select(inst, Copeland, k).seeds

@@ -1,7 +1,6 @@
 package repro.expts
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core.{Copeland, Cumulative, Plurality}
 
 /** Table I reproduction: scores of candidate c1 for the six seed sets of the
@@ -22,12 +21,9 @@ object Table1Exp {
       .sortBy { case (s, _) => (s.size, s.toSeq.sorted.mkString) }
       .map { case (paperSeeds, (pCum, pPlu, pCope)) =>
         val seeds = RunningExample.seedsOf(paperSeeds)
-        val ops = inst.opinions(seeds).localCheckpoint(true)
-        val opinionVec = ops.filter(col("cand") === 0).orderBy("node")
-          .collect().map(_.getDouble(2)).toSeq
-        Row(paperSeeds, opinionVec,
-          Cumulative.exact(ops, 0), Plurality(2).exact(ops, 0), Copeland.exact(ops, 0),
-          pCum, pPlu, pCope)
+        Row(paperSeeds, inst.opinionTable(seeds)(0).rows.map(_._2).toSeq,
+          inst.scoreOf(Cumulative, seeds, 0), inst.scoreOf(Plurality(2), seeds, 0),
+          inst.scoreOf(Copeland, seeds, 0), pCum, pPlu, pCope)
       }
     val text = Harness.render(
       "Table I - running-example scores at t=1 (measured vs paper)",

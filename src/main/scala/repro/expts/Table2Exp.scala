@@ -69,15 +69,10 @@ object Table2Exp {
       val (nonNeg, nonDec) = checkMonotone(rnd, s, trials, rng)
       val sub: Option[Boolean] = nm match {
         // Plurality/Copeland: the paper's Example 3 counterexample is exact.
-        case "Plurality" =>
-          val plu = Plurality(2)
-          val viol = (ex.targetScore(plu, Seq(1L)) - ex.targetScore(plu, Nil)) <
-            (ex.targetScore(plu, Seq(0L, 1L)) - ex.targetScore(plu, Seq(0L)))
-          Some(!viol)
-        case "Copeland" =>
-          val viol = (ex.targetScore(Copeland, Seq(1L)) - ex.targetScore(Copeland, Nil)) <
-            (ex.targetScore(Copeland, Seq(0L, 1L)) - ex.targetScore(Copeland, Seq(0L)))
-          Some(!viol)
+        case "Plurality" | "Copeland" =>
+          val e = if (s == Copeland) Copeland else Plurality(2)
+          Some((ex.targetScore(e, Seq(1L)) - ex.targetScore(e, Nil)) >=
+            (ex.targetScore(e, Seq(0L, 1L)) - ex.targetScore(e, Seq(0L))))
         case _ => Some(checkSubmodular(rnd, s, trials, rng))
       }
       Row(nm, npHard, nonNeg, nonDec, sub, paperSub)

@@ -27,13 +27,9 @@ object Table4Exp {
                        beforeTotal: Long, afterTotal: Long,
                        rows: Seq[DomainRow], topSeeds: Seq[Long])
 
-  /** Users voting for the target (strict plurality winner per user, r=2). */
-  private def voters(inst: Instance, seeds: Seq[Long]): DataFrame = {
-    val ops = inst.opinions(seeds)
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val cmp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
-    tgt.join(cmp, Seq("node")).filter(col("bq") > col("bx")).select("node")
-  }
+  /** Users voting for the target (strict plurality winner per user). */
+  private def voters(inst: Instance, seeds: Seq[Long]): DataFrame =
+    inst.usersFavoring(Plurality(inst.r), seeds)
 
   def run(spark: SparkSession, n: Long = 1200, m: Long = 9600,
           k: Int = 25, t: Int = 10, lambda: Int = 20, seed: Long = 601): Out = {
@@ -46,8 +42,8 @@ object Table4Exp {
 
     val seeds = Methods.rw(inst, Plurality(2), k, seed = seed + 3,
       lambdaOverride = Some(lambda)).seeds
-    val before = voters(inst, Nil).localCheckpoint(true)
-    val after = voters(inst, seeds).localCheckpoint(true)
+    val before = voters(inst, Nil)
+    val after = voters(inst, seeds)
 
     // Switched users and the domain each top-10 seed influences the most:
     // switched users within the seed's t-hop reach, grouped by domain.

@@ -1,7 +1,6 @@
 package repro.walks
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core.{Cumulative, Instance}
 
 /** Walk-count bounds of §V-C and §VI.
@@ -43,15 +42,17 @@ object Bounds {
     */
   def lambdaPerNode(inst: Instance, rho: Double,
                     gammaFloor: Double = 0.05, lambdaCap: Int = 2000): DataFrame = {
-    val ops = inst.seedlessOpinions
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
+    val spark = inst.edges.sparkSession
+    import spark.implicits._
     val c = math.log(2.0 / (1.0 - rho)) / 2.0
-    tgt.join(comp, Seq("node"))
-      .groupBy("node")
-      .agg(greatest(min(abs(col("bx") - col("bq"))), lit(gammaFloor)).as("gamma"))
-      .select(col("node"),
-        least(lit(lambdaCap), ceil(lit(c) / (col("gamma") * col("gamma")))).as("lam"))
+    val tgt = inst.seedlessTable(inst.q)
+    val rows = for {
+      v <- tgt.b.indices if tgt.alive(v)
+      gaps = inst.competitors.value.filter(_.has(v)).map(x => math.abs(x.b(v) - tgt.b(v)))
+      if gaps.nonEmpty
+      gamma = math.max(gaps.min, gammaFloor)
+    } yield (v.toLong, math.min(lambdaCap.toLong, math.ceil(c / (gamma * gamma)).toLong))
+    rows.toDF("node", "lam")
   }
 
   /** ln C(n, k) via a log-sum (exact, no overflow). */

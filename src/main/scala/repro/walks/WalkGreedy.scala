@@ -1,5 +1,6 @@
 package repro.walks
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
@@ -19,7 +20,9 @@ import repro.core._
   * walk whose path contains `w` would jump from `b0(end)` to 1.
   *
   * Ranking-based scores additionally use the competitors' exact horizon
-  * opinions, computed once by direct matrix-vector multiplication (§V-B).
+  * opinions, computed once by direct matrix-vector multiplication (§V-B):
+  * an observation votes as its start node, with its estimated target
+  * opinion, through the scores' shared tally kernel ([[VoteScore]]).
   */
 object WalkGreedy {
 
@@ -29,24 +32,19 @@ object WalkGreedy {
   /** Mark walks covered by `seeds` (path intersects the seed set). */
   def applyCover(state: DataFrame, seeds: Seq[Long]): DataFrame =
     if (seeds.isEmpty) state
-    else {
-      val spark = state.sparkSession
-      import spark.implicits._
-      val sArr = array(seeds.map(lit): _*)
-      state.withColumn("covered", col("covered") || arrays_overlap(col("path"), sArr))
-    }
+    else state.withColumn("covered", col("covered") || arrays_overlap(col("path"), array(seeds.map(lit): _*)))
 
   /** Per-observation estimates `(obs, start, est, lam)` under the current
     * cover state: avg over the observation's walks of (1 if covered else
     * b0(end)).
     */
-  private def estimates(state: DataFrame): DataFrame =
+  private[walks] def estimates(state: DataFrame): DataFrame =
     state.groupBy("obs", "start").agg(
       (sum(when(col("covered"), 1.0).otherwise(col("b0end"))) / count(lit(1))).as("est"),
       count(lit(1)).cast("double").as("lam"),
     )
 
-  /** `(w, obs, start, est, newEst)`: the estimate each observation would
+  /** `(w, start, est, newEst)` per observation: the estimate it would
     * move to if `w` were added as a seed (only observations with at least
     * one uncovered walk through `w` appear).
     */
@@ -56,110 +54,89 @@ object WalkGreedy {
         (lit(1.0) - col("b0end")).as("inc"))
       .groupBy("w", "obs").agg(sum("inc").as("dsum"))
       .join(est, Seq("obs"))
-      .select(col("w"), col("obs"), col("start"), col("est"),
-        (col("est") + col("dsum") / col("lam")).as("newEst"))
+      .select(col("w"), col("start").cast("int"), col("est"), (col("est") + col("dsum") / col("lam")).as("newEst"))
 
-  /** Estimated target score of the current cover state. */
+  /** Summed tally of `score` over the observations `(start, est)` of `est`,
+    * each voting as its start node with its estimated target opinion.
+    */
+  private[walks] def tallies(est: DataFrame, score: VoteScore,
+                             comp: Broadcast[Array[KeyOpinions]]): Array[Double] =
+    est.select(col("start").cast("int"), col("est")).rdd.mapPartitions { rows =>
+      val acc = score.zero(comp.value)
+      rows.foreach(r => score.tally(r.getInt(0), r.getDouble(1), comp.value, acc))
+      Iterator(acc)
+    }.collect().foldLeft(score.zero(comp.value))(plus)
+
+  /** Adds `b` into `a`. */
+  private def plus(a: Array[Double], b: Array[Double]): Array[Double] = {
+    for (i <- a.indices) a(i) += b(i)
+    a
+  }
+
+  /** Estimated target score of the current cover state, given the
+    * competitors' exact opinions `(node, cand, b)` (null for none).
+    */
   def scoreEstimate(state: DataFrame, score: VoteScore, compOps: DataFrame,
                     scale: Double): Double = {
-    val est = estimates(state)
+    val comp = if (compOps == null) Array.empty[KeyOpinions]
+      else VoteScore.competitors(KeyOpinions.collect(compOps), Int.MinValue)
+    score.finish(tallies(estimates(state), score, state.sparkSession.sparkContext.broadcast(comp)), scale)
+  }
+
+  /** Estimated marginal gain of every candidate seed `w` that an uncovered
+    * walk passes through, given the estimates `est` and their tally `base`.
+    * Cumulative is max coverage: each such walk jumps from `b0(end)` to 1.
+    * Any other score moves the observations `w` affects from `est` to
+    * `newEst`: its gain is `finish(base + their tally change) - finish(base)`.
+    */
+  private[walks] def gains(state: DataFrame, est: DataFrame, base: Array[Double], score: VoteScore,
+                           comp: Broadcast[Array[KeyOpinions]], scale: Double): Array[(Long, Double)] =
     score match {
       case Cumulative =>
-        est.agg(sum("est")).head.getDouble(0) * scale
-      case s: PositionalPApproval =>
-        val comp = compOps.select(col("node"), col("b").as("bx"))
-        est.join(comp, est("start") === comp("node"))
-          .groupBy("obs")
-          .agg((sum(when(col("bx") >= col("est"), 1).otherwise(0)) + 1).as("beta"))
-          .agg(sum(VoteScore.positionalContrib(col("beta"), s.p, s.weights)))
-          .head.getDouble(0) * scale
-      case Copeland =>
-        val comp = compOps.select(col("node"), col("cand").as("x"), col("b").as("bx"))
-        est.join(comp, est("start") === comp("node"))
-          .groupBy("x")
-          .agg(sum(when(col("est") > col("bx"), 1).otherwise(0)).as("wins"),
-               sum(when(col("est") < col("bx"), 1).otherwise(0)).as("losses"))
-          .filter(col("wins") > col("losses")).count().toDouble
-      case other =>
-        throw new IllegalArgumentException(s"walk estimation not defined for ${other.name}")
+        state.filter(!col("covered"))
+          .select(col("obs"), explode(array_distinct(col("path"))).as("w"),
+            (lit(1.0) - col("b0end")).as("inc"))
+          .join(est.select(col("obs"), col("lam")), Seq("obs"))
+          .groupBy("w").agg((sum(col("inc") / col("lam")) * scale).as("gain"))
+          .collect().map(r => (r.getLong(0), r.getDouble(1)))
+      case _ =>
+        val f0 = score.finish(base, scale)
+        deltas(state, est).rdd
+          .map(r => (r.getLong(0), (r.getInt(1), r.getDouble(2), r.getDouble(3))))
+          .aggregateByKey(score.zero(comp.value))({ case (acc, (v, e0, e1)) =>
+            val old = score.zero(comp.value)
+            score.tally(v, e0, comp.value, old)
+            score.tally(v, e1, comp.value, acc)
+            plus(acc, old.map(-_))
+          }, plus)
+          .map { case (w, d) => (w, score.finish(plus(d, base), scale) - f0) }
+          .collect()
     }
-  }
 
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
     */
   def select(inst: Instance, score: VoteScore, k: Int,
              annotatedWalks: DataFrame, scale: Double): Result = {
-    require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    val compOps = score match {
-      case Cumulative => null // cumulative never consults competitors
-      case _          => inst.competitorOpinions()
-    }
+    inst.requireBudget(k)
+    require(!score.isInstanceOf[RestrictedCumulative], s"walk greedy not defined for ${score.name}")
     var state = annotatedWalks
+    var est = estimates(state).localCheckpoint(true)
+    var base = tallies(est, score, inst.competitors)
     var seeds = Vector.empty[Long]
     var ests = Vector.empty[Double]
 
     for (_ <- 1 to k) {
-      val est = estimates(state).localCheckpoint(true)
-      val gainRows: Array[(Long, Double)] = score match {
-        case Cumulative =>
-          state.filter(!col("covered"))
-            .select(col("obs"), explode(array_distinct(col("path"))).as("w"),
-              (lit(1.0) - col("b0end")).as("inc"))
-            .join(est.select(col("obs"), col("lam")), Seq("obs"))
-            .groupBy("w").agg((sum(col("inc") / col("lam")) * scale).as("gain"))
-            .collect().map(r => (r.getLong(0), r.getDouble(1)))
-
-        case s: PositionalPApproval =>
-          val comp = compOps.select(col("node"), col("b").as("bx"))
-          val baseC = est.join(comp, est("start") === comp("node"))
-            .groupBy("obs")
-            .agg((sum(when(col("bx") >= col("est"), 1).otherwise(0)) + 1).as("beta"))
-            .select(col("obs"),
-              VoteScore.positionalContrib(col("beta"), s.p, s.weights).as("c0"))
-            .localCheckpoint(true)
-          deltas(state, est)
-            .join(comp, col("start") === comp("node"))
-            .groupBy("w", "obs")
-            .agg((sum(when(col("bx") >= col("newEst"), 1).otherwise(0)) + 1).as("beta"))
-            .select(col("w"), col("obs"),
-              VoteScore.positionalContrib(col("beta"), s.p, s.weights).as("c1"))
-            .join(baseC, Seq("obs"))
-            .groupBy("w").agg((sum(col("c1") - col("c0")) * scale).as("gain"))
-            .collect().map(r => (r.getLong(0), r.getDouble(1)))
-
-        case Copeland =>
-          val comp = compOps.select(col("node"), col("cand").as("x"), col("b").as("bx"))
-          val baseWL = est.join(comp, est("start") === comp("node"))
-            .groupBy("x")
-            .agg(sum(when(col("est") > col("bx"), 1).otherwise(0)).as("wins0"),
-                 sum(when(col("est") < col("bx"), 1).otherwise(0)).as("losses0"))
-            .localCheckpoint(true)
-          val score0 = baseWL.filter(col("wins0") > col("losses0")).count().toDouble
-          deltas(state, est)
-            .join(comp, col("start") === comp("node"))
-            .groupBy("w", "x")
-            .agg(sum(when(col("newEst") > col("bx"), 1).otherwise(0)
-                   - when(col("est") > col("bx"), 1).otherwise(0)).as("dw"),
-                 sum(when(col("newEst") < col("bx"), 1).otherwise(0)
-                   - when(col("est") < col("bx"), 1).otherwise(0)).as("dl"))
-            .join(baseWL, Seq("x"))
-            .groupBy("w")
-            .agg((sum(when(col("wins0") + col("dw") > col("losses0") + col("dl"), 1.0)
-              .otherwise(0.0)) - lit(score0)).as("gain"))
-            .collect().map(r => (r.getLong(0), r.getDouble(1)))
-
-        case other =>
-          throw new IllegalArgumentException(s"walk greedy not defined for ${other.name}")
-      }
-
-      val eligible = gainRows.filterNot { case (w, _) => seeds.contains(w) }
+      val eligible = gains(state, est, base, score, inst.competitors, scale)
+        .filterNot { case (w, _) => seeds.contains(w) }
       val pick =
         if (eligible.nonEmpty) eligible.minBy { case (w, g) => (-g, w) }._1
         else (0L until inst.n).filterNot(seeds.contains).head
       seeds :+= pick
       state = applyCover(state, Seq(pick)).localCheckpoint(true)
-      ests :+= scoreEstimate(state, score, compOps, scale)
+      est = estimates(state).localCheckpoint(true)
+      base = tallies(est, score, inst.competitors)
+      ests :+= score.finish(base, scale)
     }
     Result(seeds, ests)
   }

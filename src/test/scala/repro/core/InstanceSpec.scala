@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.baselines.{Centrality, RRSets}
 import repro.expts.{Datasets, RunningExample}
+import repro.walks.WalkGreedy
 
 class InstanceSpec extends SparkSpec {
 
@@ -43,5 +45,25 @@ class InstanceSpec extends SparkSpec {
       val expected = (0 until rnd.r).filter(_ != rnd.q).forall(c => tgt > plu.exact(ops, c))
       assert(rnd.wins(plu, seeds) == expected, s"seeds=$seeds")
     }
+  }
+
+  test("every seed-selection entry point rejects a budget outside [1, n]") {
+    import spark.implicits._
+    val none = Seq.empty[Long].toDF("node")
+    val entryPoints: Seq[(String, Int => Any)] = Seq(
+      "GreedyDM.select" -> (k => GreedyDM.select(ex, Cumulative, k)),
+      "WalkGreedy.select" -> (k => WalkGreedy.select(ex, Cumulative, k, spark.emptyDataFrame, 1.0)),
+      "Sandwich.run" -> (k => Sandwich.run(ex, Plurality(2), k)),
+      "Sandwich.runCopeland" -> (k => Sandwich.runCopeland(ex, k)),
+      "Sandwich.coverageGreedy" -> (k => Sandwich.coverageGreedy(ex, none, k, 1.0)),
+      "RRSets.select" -> (k => RRSets.select(ex, "ic", k, theta = 10L)),
+      "Centrality.degree" -> (k => Centrality.degree(ex, k)),
+      "Centrality.pageRank" -> (k => Centrality.pageRank(ex, k)),
+      "Centrality.rwr" -> (k => Centrality.rwr(ex, k)),
+    )
+    for ((name, select) <- entryPoints; k <- Seq(0, ex.n.toInt + 1))
+      withClue(s"$name k=$k: ") {
+        intercept[IllegalArgumentException](select(k))
+      }
   }
 }

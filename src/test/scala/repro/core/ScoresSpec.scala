@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SynthSocial}
 
 class ScoresSpec extends SparkSpec {
   import spark.implicits._
@@ -17,6 +18,125 @@ class ScoresSpec extends SparkSpec {
     (2L, 0, 0.1), (2L, 1, 0.5), (2L, 2, 0.9),
     (3L, 0, 0.5), (3L, 1, 0.5), (3L, 2, 0.1),
   ).toDF("node", "cand", "b").localCheckpoint(true)
+
+  /** Reference scores: the per-score join + groupBy bodies of `exact` and
+    * `byScenario` that the tally kernel replaced. Kept here only to pin the
+    * kernel's semantics, including its inner joins: a ranked score counts a
+    * user only where the target and at least one competitor are alive, and
+    * Copeland compares a user with a competitor only where both are.
+    */
+  private object Reference {
+    private def beta(bq: String, bx: String) =
+      (sum(when(col(bx) >= col(bq), 1).otherwise(0)) + 1).as("beta")
+
+    private def contrib(p: Int, weights: Seq[Double]) =
+      when(col("beta") <= p, element_at(array(weights.map(lit): _*), col("beta").cast("int")))
+        .otherwise(lit(0.0))
+
+    def exact(s: VoteScore, ops: DataFrame, cand: Int): Double = {
+      val tgt = ops.filter(col("cand") === cand).select(col("node"), col("b").as("bq"))
+      val comp = ops.filter(col("cand") =!= cand)
+        .select(col("node"), col("cand").as("x"), col("b").as("bx"))
+      s match {
+        case Cumulative =>
+          ops.filter(col("cand") === cand).agg(sum("b")).head().getDouble(0)
+        case PositionalPApproval(p, weights) =>
+          tgt.join(comp, Seq("node")).groupBy("node").agg(beta("bq", "bx"))
+            .agg(sum(contrib(p, weights))).head().getDouble(0)
+        case RestrictedCumulative(nodes, factor) =>
+          val row = ops.filter(col("cand") === cand).join(nodes, Seq("node")).agg(sum("b")).head()
+          (if (row.isNullAt(0)) 0.0 else row.getDouble(0)) * factor
+        case Copeland =>
+          tgt.join(comp, Seq("node"))
+            .groupBy("x")
+            .agg(sum(when(col("bq") > col("bx"), 1).otherwise(0)).as("wins"),
+                 sum(when(col("bq") < col("bx"), 1).otherwise(0)).as("losses"))
+            .filter(col("wins") > col("losses"))
+            .count().toDouble
+      }
+    }
+
+    def byScenario(s: VoteScore, targetOps: DataFrame, compOps: DataFrame): DataFrame = {
+      val comp = compOps.select(col("node"), col("cand").as("x"), col("b").as("bx"))
+      s match {
+        case Cumulative =>
+          targetOps.groupBy("scen").agg(sum("b").as("score"))
+        case PositionalPApproval(p, weights) =>
+          targetOps.join(comp, Seq("node"))
+            .groupBy("scen", "node").agg(beta("b", "bx"))
+            .groupBy("scen").agg(sum(contrib(p, weights)).as("score"))
+        case RestrictedCumulative(nodes, factor) =>
+          targetOps.join(nodes, Seq("node"))
+            .groupBy("scen").agg((sum("b") * factor).as("score"))
+        case Copeland =>
+          targetOps.join(comp, Seq("node"))
+            .groupBy("scen", "x")
+            .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)).as("wins"),
+                 sum(when(col("b") < col("bx"), 1).otherwise(0)).as("losses"))
+            .groupBy("scen")
+            .agg(sum(when(col("wins") > col("losses"), 1.0).otherwise(0.0)).as("score"))
+      }
+    }
+  }
+
+  private def scenarioMap(df: DataFrame): Map[Long, Double] =
+    df.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+
+  // A SynthSocial instance's horizon opinions (n = 60, r = 4, t = 3), and a
+  // copy with (node, cand) rows removed: scattered ones, and at every 13th
+  // node all candidates but one, so some users have no competitor alive.
+  private lazy val synthEdges = GraphOps.normalize(spark,
+    SynthSocial.rawEdges(spark, 60, 240, seed = 41), 60).localCheckpoint(true)
+  private lazy val synthProfile = SynthSocial.profile(spark, 60, 4, seed = 43).localCheckpoint(true)
+  private lazy val synthOps =
+    OpinionDiffusion.diffuse(synthEdges, synthProfile, 3).localCheckpoint(true)
+  private lazy val holedOps =
+    synthOps.filter((col("node") * 7 + col("cand") * 3) % 5 =!= 0 &&
+      (col("node") % 13 =!= 0 || col("cand") === col("node") % 4)).localCheckpoint(true)
+
+  private lazy val synthScores: Seq[VoteScore] = Seq(
+    Cumulative, Plurality(4), PApproval(2, 4),
+    PositionalPApproval(3, Seq(1.0, 0.7, 0.2, 0.0)), Copeland,
+    RestrictedCumulative((0L until 60L by 3).toDF("node"), 0.5))
+
+  test("exact kernel matches the reference joins for every score and target") {
+    for (ops <- Seq(synthOps, holedOps); s <- synthScores; c <- 0 until 4) {
+      val (got, want) = (s.exact(ops, c), Reference.exact(s, ops, c))
+      assert(math.abs(got - want) < 1e-12, s"${s.name} cand=$c: $got vs $want")
+    }
+  }
+
+  test("byScenario kernel matches the reference joins for every score") {
+    val scen = (0L until 60L by 4).toDF("scen")
+    val target = OpinionDiffusion.diffuseScenarios(synthEdges,
+      synthProfile.filter(col("cand") === 0).select("node", "b0", "d"), scen, 3).localCheckpoint(true)
+    val holedTarget = target.filter((col("scen") + col("node")) % 3 =!= 0).localCheckpoint(true)
+    for ((tgt, ops) <- Seq(target -> synthOps, holedTarget -> holedOps); s <- synthScores) {
+      val comp = ops.filter(col("cand") =!= 0)
+      val got = scenarioMap(s.byScenario(tgt, comp))
+      val want = scenarioMap(Reference.byScenario(s, tgt, comp))
+      // Every scenario gets a row; one whose users all drop out of the
+      // reference's inner joins has no reference row and scores 0.
+      assert(got.keySet == tgt.select("scen").distinct().collect().map(_.getLong(0)).toSet, s.name)
+      for ((w, v) <- got) {
+        val ref = want.getOrElse(w, 0.0)
+        assert(math.abs(v - ref) < 1e-12, s"${s.name} scen=$w: $v vs $ref")
+      }
+    }
+  }
+
+  test("kernel scores are bit-identical under 1 and 7 partitions") {
+    val target = OpinionDiffusion.diffuseScenarios(synthEdges,
+      synthProfile.filter(col("cand") === 1).select("node", "b0", "d"),
+      (0L until 60L by 5).toDF("scen"), 3).localCheckpoint(true)
+    val comp = holedOps.filter(col("cand") =!= 1)
+    for (s <- synthScores) {
+      val exact = Seq(1, 7).map(k => s.exact(holedOps.repartition(k), 1))
+      assert(exact(0) == exact(1), s.name)
+      val bys = Seq(1, 7).map(k => scenarioMap(s.byScenario(target.repartition(k), comp.repartition(k))))
+      assert(bys(0) == bys(1), s.name)
+    }
+  }
 
   test("cumulative sums the target column") {
     assert(math.abs(Cumulative.exact(ops, 0) - 2.0) < 1e-12)
@@ -57,6 +177,12 @@ class ScoresSpec extends SparkSpec {
     intercept[IllegalArgumentException](PositionalPApproval(2, Seq(0.5, 1.0)))
     intercept[IllegalArgumentException](PositionalPApproval(2, Seq(1.5, 1.0)))
     intercept[IllegalArgumentException](PositionalPApproval(0, Seq(1.0)))
+  }
+
+  test("positional-p-approval needs at least p weights") {
+    intercept[IllegalArgumentException](PositionalPApproval(3, Seq(1.0)))
+    intercept[IllegalArgumentException](PApproval(4, 3))
+    assert(PositionalPApproval(1, Seq(1.0)).p == 1)
   }
 
   test("Copeland counts strict one-on-one majority wins") {
